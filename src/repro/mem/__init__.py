@@ -3,7 +3,7 @@
 This package stands in for the process-memory machinery MCR uses on Linux:
 
 * ``pages`` / ``address_space`` — 64-bit virtual address spaces backed by
-  real bytearrays, with page-granular **soft-dirty** tracking (the
+  sparse host memory, with page-granular **soft-dirty** tracking (the
   ``/proc/<pid>/clear_refs`` + ``pagemap`` mechanism the paper borrows from
   CRIU for dirty-object detection).
 * ``ptmalloc`` — a glibc-style heap allocator with in-band chunk metadata,

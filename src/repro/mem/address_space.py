@@ -1,11 +1,10 @@
 """Simulated 64-bit virtual address spaces.
 
 An ``AddressSpace`` holds disjoint ``Mapping``s (data segment, heap, stacks,
-anonymous mmaps, "shared libraries"), each backed by a real ``bytearray``.
-Pointers stored by simulated programs are genuine 8-byte little-endian
-words inside those bytearrays, which is what makes MCR's precise tracing,
-conservative likely-pointer scanning, and relocation *real* operations here
-rather than mock-ups.
+anonymous mmaps, "shared libraries").  Pointers stored by simulated programs
+are genuine 8-byte little-endian words inside each mapping's host bytes,
+which is what makes MCR's precise tracing, conservative likely-pointer
+scanning, and relocation *real* operations here rather than mock-ups.
 
 Layout conventions (documented, not load-bearing):
 
@@ -14,16 +13,23 @@ Layout conventions (documented, not load-bearing):
 * ``0x0000_7000_0000`` — anonymous mmap region (grows up)
 * ``0x0000_7f00_0000`` — shared-library images
 
-fork() clones an address space with copy-on-write *semantics* (we deep-copy
-eagerly; the sharing optimisation is irrelevant to MCR's behaviour, and the
-paper's RSS overhead figures are reproduced from logical footprint).
+Host backing is sparse.  Each mapping's bytes live in an anonymous private
+host ``mmap``, which the host kernel zero-fills on first touch, so a page
+the simulated program never writes costs neither a memset nor host RSS.
+fork() gives the child a fresh buffer of the same kind and copies only the
+parent's *host-resident* pages: those written through the address space
+(``PageTracker.ever_written``) or stored by ``Mapping.load``.  Every other
+page reads as zero in both.  Buffers are never shared, so writes need no
+barrier, and the paper's RSS figures still come from the simulated resident
+set (``resident_bytes``), not from the host.
 """
 
 from __future__ import annotations
 
 import bisect as _bisect
+import mmap as _mmap
 import struct as _struct
-from typing import Dict, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import MemoryFault
 from repro.mem.pages import PAGE_SIZE, PageTracker
@@ -38,16 +44,46 @@ def _round_up_pages(size: int) -> int:
     return ((size + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
 
 
+def _host_buffer(size: int) -> _mmap.mmap:
+    """A lazily zero-filled, unshared host buffer of ``size`` bytes."""
+    return _mmap.mmap(-1, size, flags=_mmap.MAP_PRIVATE)
+
+
+def _page_runs(pages: Iterable[int]) -> Iterator[Tuple[int, int]]:
+    """Coalesce page indices into ``[first, stop)`` runs, ascending."""
+    ordered = sorted(pages)
+    if not ordered:
+        return
+    first = stop = ordered[0]
+    for page in ordered:
+        if page != stop:
+            yield first, stop
+            first = page
+        stop = page + 1
+    yield first, stop
+
+
 class Mapping:
-    """One contiguous region of simulated memory."""
+    """One contiguous region of simulated memory.
+
+    ``data`` is the sparse host backing (see the module docstring).  Only
+    this module writes it: ``AddressSpace`` on behalf of the simulated
+    program, with every write noted in ``tracker``, and ``load`` for bytes
+    restored from a checkpoint.  A page outside ``resident_pages()`` reads
+    as zero, which is what lets ``clone`` skip it.
+    """
 
     def __init__(self, base: int, size: int, name: str, kind: str) -> None:
         self.base = base
         self.size = _round_up_pages(size)
         self.name = name
         self.kind = kind  # "data" | "heap" | "stack" | "mmap" | "lib"
-        self.data = bytearray(self.size)
+        self.data = _host_buffer(self.size)
         self.tracker = PageTracker(base, self.size)
+        # Pages stored by ``load``: host-resident, yet invisible to the
+        # tracker, whose soft-dirty and write-sequence state a restore
+        # must not disturb.
+        self._loaded: Set[int] = set()
 
     @property
     def end(self) -> int:
@@ -56,14 +92,47 @@ class Mapping:
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
 
+    def resident_pages(self) -> Set[int]:
+        """Page indices whose host bytes may be non-zero."""
+        return self.tracker.ever_written | self._loaded
+
+    def load(self, offset: int, blob: bytes) -> None:
+        """Store checkpointed ``blob`` at ``offset``, behind the tracker.
+
+        The restore and standby graft paths reproduce captured state rather
+        than perform program writes, so soft-dirty bits, ``write_seq`` and
+        the simulated resident set stay as they are.  Stored pages become
+        host-resident; an all-zero page landing on a non-resident page is
+        skipped, because that page already reads as zero.
+        """
+        end = offset + len(blob)
+        if offset < 0 or end > self.size:
+            raise MemoryFault(self.base + max(offset, 0), "load crosses mapping bounds")
+        written = self.tracker.ever_written
+        loaded = self._loaded
+        start = offset
+        while start < end:
+            page = start // PAGE_SIZE
+            stop = min((page + 1) * PAGE_SIZE, end)
+            piece = blob[start - offset : stop - offset]
+            if page in written or page in loaded or piece.count(0) != len(piece):
+                self.data[start:stop] = piece
+                loaded.add(page)
+            start = stop
+
     def clone(self) -> "Mapping":
         twin = Mapping.__new__(Mapping)
         twin.base = self.base
         twin.size = self.size
         twin.name = self.name
         twin.kind = self.kind
-        twin.data = bytearray(self.data)
+        twin.data = _host_buffer(self.size)
         twin.tracker = self.tracker.clone()
+        twin._loaded = set(self._loaded)
+        with memoryview(self.data) as source:
+            for first, stop in _page_runs(self.resident_pages()):
+                lo, hi = first * PAGE_SIZE, stop * PAGE_SIZE
+                twin.data[lo:hi] = source[lo:hi]
         return twin
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -193,18 +262,20 @@ class AddressSpace:
     def read_bytes(self, address: int, size: int) -> bytes:
         mapping = self._locate(address, size, "read")
         offset = address - mapping.base
-        return bytes(mapping.data[offset : offset + size])
+        return mapping.data[offset : offset + size]
 
     def view(self, address: int, size: int) -> memoryview:
-        """A zero-copy read window over ``[address, address+size)``.
+        """A zero-copy, read-only window over ``[address, address+size)``.
 
         The window must lie inside a single mapping.  Callers that decode
         many words (the conservative scanner) cast the view instead of
-        materializing per-word ``bytes``.
+        materializing per-word ``bytes``.  It is read-only because a write
+        through it would bypass the soft-dirty bits and ``write_seq``, and
+        so be lost to deltas, the incremental scan cache and fork.
         """
         mapping = self._locate(address, size, "view")
         offset = address - mapping.base
-        return memoryview(mapping.data)[offset : offset + size]
+        return memoryview(mapping.data)[offset : offset + size].toreadonly()
 
     def write_bytes(self, address: int, data: bytes) -> None:
         mapping = self._locate(address, len(data), "write")
@@ -254,7 +325,7 @@ class AddressSpace:
         return sum(m.size for m in self._mappings)
 
     def clone(self) -> "AddressSpace":
-        """fork(): duplicate all mappings (eager copy, COW-equivalent)."""
+        """fork(): duplicate all mappings, copying only host-resident pages."""
         twin = AddressSpace()
         twin._mmap_cursor = self._mmap_cursor
         twin._lib_cursor = self._lib_cursor

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +36,7 @@ from repro.errors import ImageError, PromotionError
 from repro.fleet.node import REQUEST_SCRIPTS, Node
 from repro.mcr.config import MCRConfig
 from repro.mcr.faults import FaultPlan, TreeFingerprint
+from repro.mem.pages import PAGE_SIZE
 
 SERVERS = ("simple", "httpd", "nginx", "vsftpd", "memcache")
 
@@ -89,6 +91,45 @@ def test_restored_node_serves_after_resume(tmp_path):
         restored.run_for(WARMUP_NS)
         assert restored.completed == 3
         assert restored.lost == 0
+    finally:
+        _teardown(source, restored)
+
+
+def _mapping_crcs(process) -> dict:
+    space = process.space
+    return {m.base: zlib.crc32(space.view(m.base, m.size)) for m in space.mappings()}
+
+
+def _idle(sys):
+    return
+    yield
+
+
+def test_fork_after_restore_copies_grafted_pages():
+    source = _boot_warm("vsftpd")
+    restored = None
+    try:
+        # vsftpd's master keeps its per-session state on pages its boot
+        # already wrote, so stand in for post-boot growth with one word on
+        # a data page a fresh boot never touches.
+        data = next(source.root.space.mappings("data"))
+        source.root.space.write_word(data.end - PAGE_SIZE, 0x5EED)
+        restored = restore_image(checkpoint_node(source), node_id=1)
+        master = restored.root
+        space = master.space
+        # The graft must have stored bytes on pages the freshly booted
+        # tracker never saw written, or this test would prove nothing.
+        unseen = [
+            page
+            for m in space.mappings()
+            for page in range(m.tracker.num_pages)
+            if page not in m.tracker.ever_written
+            and space.read_bytes(m.base + page * PAGE_SIZE, PAGE_SIZE).count(0) < PAGE_SIZE
+        ]
+        assert unseen
+        with restored.scope():
+            child = restored.kernel.fork_for_restore(master, _idle, (), "probe", [])
+        assert _mapping_crcs(child) == _mapping_crcs(master)
     finally:
         _teardown(source, restored)
 

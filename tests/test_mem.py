@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.errors import AllocatorError, MemoryFault
 from repro.mem.address_space import AddressSpace, HEAP_BASE
@@ -183,6 +184,17 @@ class TestAddressSpace:
         # window: the view aliases the backing store, it is no snapshot.
         space.write_bytes(0x20010, b"after!")
         assert bytes(window) == b"after!"
+
+    def test_view_is_read_only(self, space):
+        space.map(4096, address=0x20000)
+        window = space.view(0x20010, 8)
+        # A write through the window would bypass the soft-dirty bits and
+        # write_seq, so deltas, the scan cache and fork would all miss it.
+        with pytest.raises(TypeError):
+            window[0] = 1
+        with pytest.raises(TypeError):
+            window.cast("Q")[0] = 1
+        assert space.read_bytes(0x20010, 8) == bytes(8)
 
     def test_view_faults_like_reads(self, space):
         space.map(4096, address=0x20000)
@@ -474,3 +486,161 @@ class TestStartupModeEdges:
         assert not twin._deferred and not twin._deferred_frees
         # The original is untouched by the twin's end_startup.
         assert a in heap._deferred
+
+
+class TestSparseBacking:
+    BASE = 0x20000
+
+    def _mapping(self, pages=4):
+        space = AddressSpace()
+        return space, space.map(pages * PAGE_SIZE, address=self.BASE)
+
+    def test_load_leaves_the_tracker_alone(self):
+        space, m = self._mapping()
+        space.write_word(self.BASE, 7)
+        space.clear_soft_dirty()
+        before = vars(m.tracker.clone())
+        m.load(PAGE_SIZE - 4, b"\x01" * (PAGE_SIZE + 8))
+        assert vars(m.tracker) == before
+        assert space.resident_bytes() == PAGE_SIZE
+        assert space.read_bytes(self.BASE + PAGE_SIZE - 4, 4) == b"\x01" * 4
+
+    def test_load_skips_zero_pages_only_where_non_resident(self):
+        space, m = self._mapping()
+        space.write_bytes(self.BASE, b"\xff" * 16)  # page 0 resident
+        m.load(0, bytes(3 * PAGE_SIZE) + b"\x02")
+        # Page 0 is overwritten with zeros; pages 1-2 are skipped as they
+        # already read as zero; page 3 holds the non-zero tail.
+        assert m.resident_pages() == {0, 3}
+        assert space.read_bytes(self.BASE, 16) == bytes(16)
+        assert space.read_bytes(self.BASE + 3 * PAGE_SIZE, 1) == b"\x02"
+
+    def test_load_out_of_bounds_faults(self):
+        _space, m = self._mapping(pages=1)
+        with pytest.raises(MemoryFault):
+            m.load(PAGE_SIZE - 2, b"abcd")
+        with pytest.raises(MemoryFault):
+            m.load(-1, b"a")
+
+    def test_clone_carries_loaded_pages(self):
+        space, m = self._mapping()
+        m.load(2 * PAGE_SIZE, b"grafted")
+        twin = space.clone()
+        assert twin.read_bytes(self.BASE + 2 * PAGE_SIZE, 7) == b"grafted"
+        assert twin.mapping_at(self.BASE).resident_pages() == {2}
+
+
+# -- differential oracle: sparse backing vs an eager-copy model ---------------
+
+_SM_SIZE = 3 * PAGE_SIZE
+_SM_SLOTS = [0x100000, 0x110000]
+
+# Blobs made of zero runs around a short payload, or of zeros alone, so
+# loads hit both the zero-page skip and real stores (zeros over resident
+# bytes included), on either side of page boundaries.
+_load_blobs = st.one_of(
+    st.tuples(
+        st.integers(0, PAGE_SIZE + 8),
+        st.binary(min_size=1, max_size=24),
+        st.integers(0, PAGE_SIZE + 8),
+    ).map(lambda parts: bytes(parts[0]) + parts[1] + bytes(parts[2])),
+    st.integers(1, 2 * PAGE_SIZE).map(bytes),
+)
+
+
+class SparseBackingMachine(RuleBasedStateMachine):
+    """Drive address spaces and an eager-copy model through the same steps.
+
+    The model is ``{base: bytearray}`` per space, copied in full at fork.
+    After every step each space's bytes must equal its model's.  Since each
+    clone gets its own model copy, that one check also proves parent and
+    clone independent in both directions.
+    """
+
+    @initialize()
+    def boot(self):
+        space = AddressSpace()
+        for slot in _SM_SLOTS:
+            space.map(_SM_SIZE, address=slot)
+        self.spaces = [(space, {slot: bytearray(_SM_SIZE) for slot in _SM_SLOTS})]
+
+    def _pick(self, index):
+        return self.spaces[index % len(self.spaces)]
+
+    @rule(index=st.integers(0, 3), slot=st.sampled_from(_SM_SLOTS))
+    def map(self, index, slot):
+        space, model = self._pick(index)
+        if slot not in model:
+            space.map(_SM_SIZE, address=slot)
+            model[slot] = bytearray(_SM_SIZE)
+
+    @rule(index=st.integers(0, 3), slot=st.sampled_from(_SM_SLOTS))
+    def unmap(self, index, slot):
+        space, model = self._pick(index)
+        if slot in model:
+            space.unmap(slot)
+            del model[slot]
+
+    @rule(
+        index=st.integers(0, 3),
+        slot=st.sampled_from(_SM_SLOTS),
+        offset=st.integers(0, _SM_SIZE - 8),
+        value=st.integers(0, (1 << 64) - 1),
+    )
+    def write_word(self, index, slot, offset, value):
+        space, model = self._pick(index)
+        if slot in model:
+            space.write_word(slot + offset, value)
+            model[slot][offset : offset + 8] = value.to_bytes(8, "little")
+
+    @rule(
+        index=st.integers(0, 3),
+        slot=st.sampled_from(_SM_SLOTS),
+        offset=st.integers(0, _SM_SIZE - 1),
+        data=st.binary(min_size=1, max_size=PAGE_SIZE + 16),
+    )
+    def write_bytes(self, index, slot, offset, data):
+        space, model = self._pick(index)
+        data = data[: _SM_SIZE - offset]
+        if slot in model:
+            space.write_bytes(slot + offset, data)
+            model[slot][offset : offset + len(data)] = data
+
+    @rule(
+        index=st.integers(0, 3),
+        slot=st.sampled_from(_SM_SLOTS),
+        offset=st.integers(0, _SM_SIZE - 1),
+        blob=_load_blobs,
+    )
+    def load(self, index, slot, offset, blob):
+        space, model = self._pick(index)
+        blob = blob[: _SM_SIZE - offset]
+        if slot in model:
+            space.mapping_at(slot).load(offset, blob)
+            model[slot][offset : offset + len(blob)] = blob
+
+    @rule(index=st.integers(0, 3))
+    def clear_soft_dirty(self, index):
+        self._pick(index)[0].clear_soft_dirty()
+
+    @precondition(lambda self: len(self.spaces) < 4)
+    @rule(index=st.integers(0, 3))
+    def clone(self, index):
+        space, model = self._pick(index)
+        twin = space.clone()
+        for parent, child in zip(space.mappings(), twin.mappings()):
+            assert vars(child.tracker) == vars(parent.tracker.clone())
+        self.spaces.append((twin, {base: bytearray(b) for base, b in model.items()}))
+
+    @invariant()
+    def bytes_match_the_model(self):
+        for space, model in self.spaces:
+            assert sorted(m.base for m in space.mappings()) == sorted(model)
+            for base, expected in model.items():
+                assert bytes(space.view(base, _SM_SIZE)) == expected
+
+
+SparseBackingMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
+TestSparseBackingOracle = SparseBackingMachine.TestCase

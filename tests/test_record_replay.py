@@ -380,6 +380,39 @@ def test_lint_no_adhoc_random_outside_the_choke_point():
     )
 
 
+# -- the mapping-bytes lint ---------------------------------------------------
+
+# Only repro.mem may store into a mapping's host bytes: clone() copies just
+# the pages that module knows are resident, so a store from anywhere else
+# could be lost at fork.  Stores go through AddressSpace or Mapping.load.
+_MAPPING_WRITER = Path("repro") / "mem"
+
+
+def _data_subscript_stores(tree: ast.AST):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "data"
+        ):
+            yield node.lineno
+
+
+def test_lint_only_repro_mem_writes_mapping_bytes():
+    offenders = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        relative = path.relative_to(SRC_ROOT)
+        if relative.is_relative_to(_MAPPING_WRITER):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders.extend(f"{relative}:{line}" for line in _data_subscript_stores(tree))
+    assert not offenders, (
+        "subscript store into `.data[...]` outside repro.mem bypasses the "
+        f"host-resident page set; use Mapping.load: {offenders}"
+    )
+
+
 def test_divergence_renders_its_context():
     d = Divergence("draw", "faults.transfer.memory[0]", 0.25, 0.75)
     text = str(d)
