@@ -16,7 +16,7 @@ Implements the behaviours mutable reinitialization leans on (paper §5):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BadFileDescriptor
 
@@ -97,6 +97,11 @@ class FDTable:
             return self._entries.pop(fd)
         except KeyError:
             raise BadFileDescriptor(fd) from None
+
+    def close_each(self, fds: Iterable[int]) -> List[Any]:
+        """Close whichever of ``fds`` are open; return their objects in fd order."""
+        entries = self._entries
+        return [entries.pop(fd) for fd in sorted(entries.keys() & fds)]
 
     def dup(self, fd: int) -> int:
         obj = self.get(fd)

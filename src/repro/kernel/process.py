@@ -242,12 +242,18 @@ class Process:
         return bool(live) and all(t.state == BLOCKED for t in live)
 
     def descendants(self) -> List["Process"]:
-        """All live descendant processes, depth-first."""
+        """All live descendant processes, depth-first pre-order.
+
+        Iterative, so a fork chain of any depth walks without recursion.
+        An exited process is skipped but its children are still visited.
+        """
         result: List["Process"] = []
-        for child in self.children:
-            if not child.exited:
-                result.append(child)
-            result.extend(child.descendants())
+        stack = self.children[::-1]
+        while stack:
+            process = stack.pop()
+            if not process.exited:
+                result.append(process)
+            stack.extend(process.children[::-1])
         return result
 
     def tree(self) -> List["Process"]:

@@ -26,7 +26,6 @@ before.  This module provides the two halves of *proving* that:
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -381,9 +380,10 @@ class TreeFingerprint:
 
     Three surfaces per process, plus the world's listener table:
 
-    * memory — one CRC32 per mapping, computed over the zero-copy
-      ``AddressSpace.view`` window (the fast-scan read path), so a single
-      flipped byte anywhere in the tree's image changes the fingerprint;
+    * memory — one CRC32 per mapping (``Mapping.crc32``, equal to
+      ``zlib.crc32`` over its ``AddressSpace.view`` window but reading only
+      host-resident pages), so a single flipped byte anywhere in the
+      tree's image changes the fingerprint;
     * descriptors — ``(fd, kind, refcount, closed)`` per fd-table entry:
       catches leaked references, dropped descriptors, and sockets closed
       under the old version's feet;
@@ -427,7 +427,7 @@ class TreeFingerprint:
                     m.name,
                     m.base,
                     m.size,
-                    zlib.crc32(space.view(m.base, m.size)),
+                    m.crc32(),
                 )
                 for m in sorted(space.mappings(), key=lambda m: m.base)
             )

@@ -214,7 +214,9 @@ class ReplayEngine:
 
     def finish(self, new_root: Process) -> None:
         """Verify omissions and garbage-collect the unclaimed stash."""
-        pids = [p.pid for p in new_root.tree()]
+        tree = new_root.tree()
+        pids = [p.pid for p in tree]
+        live_pids = set(pids)
         omissions = [
             rec
             for pid in pids
@@ -228,7 +230,7 @@ class ReplayEngine:
             )
             or (
                 rec.created_pid is not None
-                and rec.created_pid not in pids
+                and rec.created_pid not in live_pids
             )
         ]
         if omissions:
@@ -241,15 +243,16 @@ class ReplayEngine:
             )
             context = ReplayContext(self, new_root, None, rec, rec.name, dict(rec.args))
             self._raise_or_resolve(context, conflict)
+            # A conflict handler that resolved the omission may have
+            # reshaped the tree (respawned a counterpart, say).
+            tree = new_root.tree()
         # GC: drop every stash descriptor everywhere in the new tree.
         # Claimed objects live on at their original numbers (with their own
-        # reference); unclaimed ones are released entirely.
-        for stash_fd in self.stash.all_stash_fds():
-            for process in new_root.tree():
-                obj = process.fdtable.try_get(stash_fd)
-                if obj is None:
-                    continue
-                process.fdtable.close(stash_fd)
+        # reference); unclaimed ones are released entirely.  Each release
+        # only drops one reference, so the close order does not matter.
+        stash_fds = set(self.stash.all_stash_fds())
+        for process in tree:
+            for obj in process.fdtable.close_each(stash_fds):
                 release = getattr(obj, "release", None)
                 if release is not None:
                     release()

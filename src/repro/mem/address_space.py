@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect as _bisect
 import mmap as _mmap
 import struct as _struct
+import zlib as _zlib
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import MemoryFault
@@ -63,6 +64,50 @@ def _page_runs(pages: Iterable[int]) -> Iterator[Tuple[int, int]]:
     yield first, stop
 
 
+# CRC-32 (zlib's polynomial, bit-reflected) and x^(2^k) mod it, k = 0..63.
+_CRC_POLY = 0xEDB88320
+
+
+def _crc_multmodp(a: int, b: int) -> int:
+    """a(x) * b(x) modulo the CRC-32 polynomial, both bit-reflected."""
+    product = 0
+    for _ in range(32):
+        if a & 0x80000000:
+            product ^= b
+        a = (a << 1) & 0xFFFFFFFF
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return product
+
+
+def _crc_x2n_table() -> List[int]:
+    table = [1 << 30]  # x^1
+    for _ in range(63):
+        table.append(_crc_multmodp(table[-1], table[-1]))
+    return table
+
+
+_CRC_X2N = _crc_x2n_table()
+
+
+def crc32_zeros(crc: int, n: int) -> int:
+    """``zlib.crc32(bytes(n), crc)`` without touching ``n`` bytes.
+
+    Feeding zero bytes to the CRC register multiplies it by x^(8n) modulo
+    the polynomial, so the extension is one product with x^(8n), built
+    from the table by the bits of ``8n`` (zlib's ``crc32_combine``).
+    """
+    if n <= 0:
+        return crc
+    power = 1 << 31  # x^0
+    bits, k = n << 3, 0
+    while bits:
+        if bits & 1:
+            power = _crc_multmodp(_CRC_X2N[k], power)
+        bits >>= 1
+        k += 1
+    return _crc_multmodp(power, crc ^ 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
 class Mapping:
     """One contiguous region of simulated memory.
 
@@ -95,6 +140,21 @@ class Mapping:
     def resident_pages(self) -> Set[int]:
         """Page indices whose host bytes may be non-zero."""
         return self.tracker.ever_written | self._loaded
+
+    def crc32(self) -> int:
+        """``zlib.crc32`` of the mapping's bytes, reading only resident pages.
+
+        Every other page reads as zero, so its bytes extend the CRC in
+        closed form (``crc32_zeros``) and cost neither a host read nor a
+        host page fault.
+        """
+        crc = done = 0
+        with memoryview(self.data) as data:
+            for first, stop in _page_runs(self.resident_pages()):
+                lo, hi = first * PAGE_SIZE, stop * PAGE_SIZE
+                crc = _zlib.crc32(data[lo:hi], crc32_zeros(crc, lo - done))
+                done = hi
+        return crc32_zeros(crc, self.size - done)
 
     def load(self, offset: int, blob: bytes) -> None:
         """Store checkpointed ``blob`` at ``offset``, behind the tracker.

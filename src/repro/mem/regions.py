@@ -77,6 +77,8 @@ class RegionAllocator:
         self._heap = heap
         self._block_size = block_size
         self._regions: List[Region] = []
+        # Request size -> index of the first region that may still fit it.
+        self._fit_from: Dict[int, int] = {}
         self.alloc_count = 0
         self.bytes_allocated = 0
 
@@ -101,6 +103,24 @@ class RegionAllocator:
         """Address of the first block (what a root pointer should hold)."""
         return self.ensure_block().base
 
+    def _first_fit(self, size: int) -> Optional[int]:
+        """Exact first-fit bump, resuming where ``size`` last fit.
+
+        A region's capacity ``end - align_up(cursor)`` only shrinks, so a
+        region that once failed to fit ``size`` never fits it again: every
+        region before ``_fit_from[size]`` is skipped without changing which
+        region, or which address, first-fit picks.  Appending regions keeps
+        the index valid; ``destroy()`` clears it with the regions.
+        """
+        regions = self._regions
+        for index in range(self._fit_from.get(size, 0), len(regions)):
+            address = regions[index].bump(size)
+            if address is not None:
+                self._fit_from[size] = index
+                return address
+        self._fit_from[size] = len(regions)
+        return None
+
     def alloc(self, size: int) -> int:
         """Bump-allocate ``size`` bytes; grows by whole blocks as needed."""
         if size <= 0:
@@ -109,20 +129,12 @@ class RegionAllocator:
         if size > self._block_size - BLOCK_HEADER_SIZE - 16:
             # Oversized allocations get a dedicated block (nginx "large");
             # the block carries the chain header plus alignment slack.
-            region = self._append_block(size + BLOCK_HEADER_SIZE + 16)
-            address = region.bump(size)
-            self.alloc_count += 1
-            self.bytes_allocated += size
-            return address
-        for region in self._regions:
-            address = region.bump(size)
-            if address is not None:
-                self.alloc_count += 1
-                self.bytes_allocated += size
-                return address
-        region = self._append_block(self._block_size)
-        address = region.bump(size)
-        if address is None:  # pragma: no cover - block_size >= size by now
+            address = self._append_block(size + BLOCK_HEADER_SIZE + 16).bump(size)
+        else:
+            address = self._first_fit(size)
+            if address is None:
+                address = self._append_block(self._block_size).bump(size)
+        if address is None:  # pragma: no cover - a fresh block always fits
             raise AllocatorError("fresh region cannot satisfy request")
         self.alloc_count += 1
         self.bytes_allocated += size
@@ -133,6 +145,7 @@ class RegionAllocator:
         for region in self._regions:
             self._heap.free(region.base)
         self._regions.clear()
+        self._fit_from.clear()
 
     def blocks(self) -> Iterator[Region]:
         return iter(self._regions)

@@ -1,11 +1,14 @@
 """Tests for the simulated kernel: scheduling, sockets, processes, fds."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AddressInUse, BadFileDescriptor, SimError
 from repro.kernel import Kernel, TIMEOUT, sim_function
 from repro.kernel.fdtable import FDTable, RESERVED_BASE
 from repro.kernel.namespaces import PidNamespace
+from repro.kernel.process import Process
 
 
 @sim_function
@@ -395,3 +398,69 @@ class TestFiles:
         kernel.run(max_steps=100)
         assert kernel.fs.read("/var/log/app.log") == b"line1\nline2\n"
         assert kernel.fs.size("/var/log/app.log") == 12
+
+
+@sim_function
+def _idle(sys):
+    while True:
+        yield from sys.nanosleep(1_000_000_000)
+
+
+def _recursive_descendants(process):
+    """The reference walk: live descendants, depth-first pre-order."""
+    result = []
+    for child in process.children:
+        if not child.exited:
+            result.append(child)
+        result.extend(_recursive_descendants(child))
+    return result
+
+
+class TestProcessTree:
+    DEPTH = 3_000  # well past the interpreter's default recursion limit
+
+    def _chain(self, kernel):
+        root = process = kernel.spawn_process(_idle, name="root")
+        for _ in range(self.DEPTH):
+            process = kernel.spawn_process(_idle, name="link", parent=process)
+        return root, process
+
+    def test_deep_chain_tree(self, kernel):
+        root, leaf = self._chain(kernel)
+        tree = root.tree()
+        assert len(tree) == self.DEPTH + 1
+        assert tree[0] is root and tree[-1] is leaf
+        assert [p.parent for p in tree[1:]] == tree[:-1]
+
+    def test_deep_chain_terminate_tree(self, kernel):
+        root, _leaf = self._chain(kernel)
+        kernel.terminate_tree(root)
+        assert all(p.exited for p in kernel.processes.values())
+        assert root.tree() == []
+
+    def test_deep_chain_crash_tree(self, kernel):
+        root, _leaf = self._chain(kernel)
+        kernel.crash_tree(root)
+        assert all(p.exited and p.exit_status == 137 for p in kernel.processes.values())
+
+    @given(
+        shape=st.lists(
+            st.tuples(st.integers(0, 1 << 16), st.booleans(), st.booleans()),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_descendants_match_recursive_walk(self, shape):
+        # Node i has a parent among nodes 0..i-1 unless it starts a new
+        # tree; ``exited`` marks it dead, interior or leaf alike.
+        nodes = []
+        for index, (pick, new_root, exited) in enumerate(shape):
+            parent = None if new_root or not nodes else nodes[pick % len(nodes)]
+            process = Process(index + 1, None, f"p{index}", parent=parent)
+            process.exited = exited
+            nodes.append(process)
+        for process in nodes:
+            expected = _recursive_descendants(process)
+            assert process.descendants() == expected
+            assert process.tree() == ([] if process.exited else [process]) + expected

@@ -1,12 +1,17 @@
 """Unit tests for mutable reinitialization: log, matching, stash, realloc."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.errors import SimError
-from repro.kernel.process import call_stack_id
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConflictError, SimError
+from repro.kernel.process import Process, call_stack_id
 from repro.mcr.reinit.callstack import deep_match, sanitize_args, sanitize_result
 from repro.mcr.reinit.immutable import FdEntry, FdStash, ImmutableInventory
 from repro.mcr.reinit.realloc import GlobalRealloc, Superobject, coalesce
+from repro.mcr.reinit.replay import ReplayEngine
 from repro.mcr.reinit.startup_log import StartupLog, SyscallRecord
 
 
@@ -261,3 +266,115 @@ class TestGlobalRealloc:
         plan.pin_library("libcrypto", 0x7F000000)
         assert plan.pinned_symbols == {"conf": 0x600010}
         assert plan.lib_bases == {"libcrypto": 0x7F000000}
+
+
+# -- ReplayEngine.finish: omission order and stash GC ---------------------------------
+
+
+class _Shared:
+    """A refcounted kernel object as the fd tables hold it."""
+
+    def __init__(self, refcount):
+        self.refcount = refcount
+
+    def release(self):
+        self.refcount -= 1
+
+
+def _engine(log=None, stash=None):
+    session = SimpleNamespace(program=None)  # no conflict handlers
+    return ReplayEngine(session, log or StartupLog(), ImmutableInventory(), stash or FdStash())
+
+
+def _reference_gc(stash, root):
+    """The stash GC as a nested loop: every stash fd, then every process."""
+    for stash_fd in stash.all_stash_fds():
+        for process in root.tree():
+            obj = process.fdtable.try_get(stash_fd)
+            if obj is None:
+                continue
+            process.fdtable.close(stash_fd)
+            release = getattr(obj, "release", None)
+            if release is not None:
+                release()
+
+
+STASH_FDS = (4096, 4097, 4098, 4099, 4100)
+
+
+def _gc_world(shape):
+    """A process tree whose fd tables hold stash and ordinary descriptors.
+
+    ``shape`` gives, per process: a parent pick, whether it has exited,
+    and a bitmask over ``STASH_FDS`` of the stash fds it holds.  Stash fd
+    4100 holds an object without ``release``; fd 3 is an ordinary
+    descriptor the GC must leave alone.
+    """
+    root = Process(100, None, "root")
+    processes = [root]
+    for index, (pick, exited, mask) in enumerate(shape):
+        parent = processes[pick % len(processes)]
+        process = Process(101 + index, None, f"w{index}", parent=parent)
+        process.exited = exited
+        processes.append(process)
+    stash = FdStash()
+    objects = {}
+    for slot, stash_fd in enumerate(STASH_FDS):
+        stash.add(1, slot, stash_fd)
+        objects[stash_fd] = object() if stash_fd == 4100 else _Shared(1)
+    masks = [0b11111] + [mask for _pick, _exited, mask in shape]
+    for process, mask in zip(processes, masks):
+        process.fdtable.install(_Shared(1), 3)
+        for slot, stash_fd in enumerate(STASH_FDS):
+            if mask >> slot & 1:
+                obj = objects[stash_fd]
+                process.fdtable.install(obj, stash_fd)
+                if isinstance(obj, _Shared):
+                    obj.refcount += 1
+    stash.claim(1, 2, 2)  # claimed entries are dropped from the stash fd too
+    return root, processes, stash, objects
+
+
+def _gc_state(processes, objects):
+    return (
+        [process.fdtable.fds() for process in processes],
+        [getattr(objects[fd], "refcount", None) for fd in STASH_FDS],
+        [process.fdtable.get(3).refcount for process in processes],
+    )
+
+
+class TestFinish:
+    @given(
+        shape=st.lists(
+            st.tuples(st.integers(0, 1 << 16), st.booleans(), st.integers(0, 0b11111)),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stash_gc_matches_nested_loop(self, shape):
+        root, processes, stash, objects = _gc_world(shape)
+        _engine(stash=stash).finish(root)
+        ref_root, ref_processes, ref_stash, ref_objects = _gc_world(shape)
+        _reference_gc(ref_stash, ref_root)
+        assert _gc_state(processes, objects) == _gc_state(ref_processes, ref_objects)
+
+    def test_first_omission_in_tree_order(self):
+        root = Process(10, None, "root")
+        Process(30, None, "a", parent=root)
+        Process(20, None, "b", parent=root)
+        log = StartupLog()
+        for pid in (20, 30):
+            stack = [f"spawner{pid}"]
+            log.record(pid, stack, call_stack_id(stack), "fork", {}, pid + 1000)
+        with pytest.raises(ConflictError) as raised:
+            _engine(log=log).finish(root)
+        # pid 30 comes before pid 20 in the tree, though not by number.
+        assert raised.value.subject == "fork@spawner30"
+        assert "(2 omission(s))" in raised.value.detail
+
+    def test_forked_pid_in_tree_is_no_omission(self):
+        root = Process(10, None, "root")
+        Process(11, None, "w", parent=root)
+        log = StartupLog()
+        log.record(10, ["main"], call_stack_id(["main"]), "fork", {}, 11)
+        _engine(log=log).finish(root)
