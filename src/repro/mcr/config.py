@@ -30,7 +30,6 @@ class MCRConfig:
         fast_scan: bool = True,                  # bulk kernels + interval index
         incremental_scan: bool = True,           # dirty-page scan memoization
         faults=None,                             # FaultPlan (None = nothing armed)
-        verify_rollback: bool = True,            # fingerprint-check rolled-back trees
         downtime_budget_ns: int = 1_000_000_000, # client-perceived SLO budget (1 s)
         blackbox_path=None,                      # where to dump blackbox.json
         update_mode: str = "whole-tree",         # "whole-tree" | "rolling"
@@ -70,11 +69,6 @@ class MCRConfig:
         # named pipeline sites, or None.  With None every injection point
         # is a single attribute read, so the production path is untouched.
         self.faults = faults
-        # After every rolled-back update, compare a host-side fingerprint
-        # of the old tree (memory CRCs, fd tables, allocator state,
-        # listeners) against the checkpoint-time capture and record the
-        # verdict in ``UpdateResult.rollback_verified``.
-        self.verify_rollback = verify_rollback
         # Client-perceived SLO: an update "meets SLO" when the measured
         # blackout interval (longest gap in completed responses) stays
         # within this budget.  The paper's headline claim is that the

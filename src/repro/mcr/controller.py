@@ -1,8 +1,10 @@
 """The live-update orchestrator: checkpoint → restart → remap (paper §3).
 
-``LiveUpdateController.run_update`` executes one update attempt end to end:
+``LiveUpdateController.run_update`` executes one update attempt end to end
+as a single transaction (``_attempt``), in whole-tree or rolling mode:
 
-1.  **Checkpoint** — quiesce the old version via the barrier protocol.
+1.  **Checkpoint** — quiesce the old version via the barrier protocol
+    (rolling mode: only the first worker batch).
 2.  **Offline analysis** — conservative tracing of the quiesced old tree
     produces the immutable set: pinned static symbols, library bases, and
     heap superobject spans (the relink/prelink step, uncharged to update
@@ -17,9 +19,14 @@
     on-demand processes/threads; post-startup descriptors (open
     connections) are restored into the paired processes.
 5.  **Remap** — mutable tracing transfers the dirty/immutable state.
+    This hand-off is the one step the two modes do not share: whole-tree
+    transfers the whole quiesced tree while nothing runs; rolling
+    (``_rolling_handoff``) quiesces, fd-restores and transfers one worker
+    batch at a time while the rest of the pool serves.
 6.  **Commit** — the old tree is terminated and the new version resumes;
     or, on *any* failure, **rollback**: the new tree is destroyed and the
-    old version resumes from the checkpoint, invisibly to clients.
+    old version resumes from the checkpoint, invisibly to clients, and
+    ``_verify_rollback`` compares it with every checkpoint capture.
 """
 
 from __future__ import annotations
@@ -35,8 +42,7 @@ from repro.obs.spans import STATUS_ERROR, STATUS_OK
 from repro.errors import ConflictError, MCRError, QuiescenceTimeout, SimError
 from repro.kernel.kernel import Kernel
 from repro.kernel.namespaces import PidNamespace
-from repro.kernel.process import Process, sim_function
-from repro.kernel.syscalls import SyscallRequest
+from repro.kernel.process import Process
 from repro.mcr.config import MCRConfig, TransferCostModel
 from repro.mcr.faults import TreeFingerprint, fire
 from repro.mcr.quiescence.detection import tree_live_threads
@@ -55,6 +61,10 @@ from repro.replay import trace as replay_trace
 from repro.runtime.instrument import BuildConfig
 from repro.runtime.libmcr import MCRSession, PHASE_NORMAL
 from repro.runtime.program import Program, load_program
+
+# A rollback checkpoint: the old processes captured (None = the whole
+# tree), their fingerprint, and whether fd refcounts were included.
+Checkpoint = Tuple[Optional[List[Process]], TreeFingerprint, bool]
 
 
 class RestoreContext:
@@ -143,7 +153,7 @@ class UpdateResult:
         self.committed = False
         self.rolled_back = False
         # Orchestration mode of this attempt ("whole-tree" | "rolling")
-        # and, for rolling, how many hand-off batches ran.
+        # and, for rolling, how many hand-off batches completed.
         self.mode = "whole-tree"
         self.rolling_batches = 0
         self.error: Optional[BaseException] = None
@@ -156,8 +166,8 @@ class UpdateResult:
         self.retries = 0
         # After a rollback: True if the old tree's fingerprint matched the
         # checkpoint capture, False if it diverged, None if no comparable
-        # baseline existed (verification off, or the failure happened
-        # while old threads were still running toward the barrier).
+        # baseline existed (the failure happened while old threads were
+        # still running toward the barrier).
         self.rollback_verified: Optional[bool] = None
         # True if any rollback step itself faulted (double fault).  The
         # rollback still completes its remaining steps and the old tree
@@ -262,9 +272,13 @@ class LiveUpdateController:
     # -- public API -------------------------------------------------------------
 
     def run_update(self) -> UpdateResult:
-        if getattr(self.config, "update_mode", "whole-tree") == "rolling":
-            return self._run_update_rolling()
-        return self._run_update_whole_tree()
+        result = UpdateResult()
+        rolling = getattr(self.config, "update_mode", "whole-tree") == "rolling"
+        if rolling:
+            result.mode = "rolling"
+        clock = self.kernel.clock
+        with self._obs_scope(clock):
+            return self._attempt(result, clock, rolling)
 
     def _obs_scope(self, clock):
         """The collector activation this update runs under.
@@ -287,44 +301,70 @@ class LiveUpdateController:
             return nullcontext(collector)
         return obs.scoped(collector)
 
-    def _run_update_whole_tree(self) -> UpdateResult:
-        result = UpdateResult()
-        clock = self.kernel.clock
-        with self._obs_scope(clock):
-            return self._whole_tree_attempt(result, clock)
+    def _attempt(self, result: UpdateResult, clock, rolling: bool) -> UpdateResult:
+        """One update transaction, whole-tree or rolling.
 
-    def _whole_tree_attempt(self, result: UpdateResult, clock) -> UpdateResult:
+        Both modes share every step but the hand-off (step 5).  Whole-tree
+        quiesces the entire old tree, restores runtime descriptors with
+        the volatile state, and transfers it in one ``transfer`` span
+        while nothing runs.  Rolling (CRIU pre-dump style) quiesces only
+        the first worker batch up front, so the heavy global phases run
+        while every other worker keeps serving, then hands the tree off
+        one batch at a time in ``_rolling_handoff``.
+        """
         recorder = obs.recorder_for(clock)
         new_root: Optional[Process] = None
         # Rollback verification baselines (host-side only; never touch the
         # virtual clock).  The entry capture covers failures that strike
         # before the barrier converges — usable only if no old thread ran
         # in between, hence the steps_executed stamp.  The checkpoint
-        # capture, taken once the tree is quiesced, is authoritative.
-        verify = bool(getattr(self.config, "verify_rollback", True))
+        # captures, taken once (a batch of) the tree is quiesced, are
+        # authoritative: one ``(processes, fingerprint, with_refcounts)``
+        # entry per quiesce point, ``processes=None`` meaning the whole
+        # tree.
         entry_fp: Optional[TreeFingerprint] = None
-        checkpoint_fp: Optional[TreeFingerprint] = None
         entry_steps = self.kernel.steps_executed
-        if verify and getattr(self.config, "faults", None) is not None:
+        if getattr(self.config, "faults", None) is not None:
             # Only an injected fault can fail before any old thread runs;
             # a real pre-quiescence failure executes kernel steps and
             # invalidates this baseline anyway, so skip the capture when
             # nothing is armed.
             entry_fp = TreeFingerprint.capture(self.kernel, self.old_root)
+        checkpoints: List[Checkpoint] = []
+        worker_batches: List[List[Process]] = []
+        first_batch: Optional[List[Process]] = None
+        if rolling:
+            worker_batches = self._worker_batches()
+            # Checkpoint the FIRST batch only; with no enumerable workers
+            # the whole tree is one degenerate batch.
+            first_batch = (
+                worker_batches[0] if worker_batches else list(self.old_root.tree())
+            )
         root = recorder.begin(
             "update",
             program=self.new_program.name,
             to_version=self.new_program.version,
+            **({"mode": "rolling"} if rolling else {}),
         )
         try:
             # 1. Checkpoint: quiesce the old version (bounded retries with
             # exponential backoff before declaring QuiescenceTimeout).
             with recorder.span("quiescence"):
-                self.old_session.quiescence.request()
+                self.old_session.quiescence.request(scope=first_batch)
                 self._quiesce_with_retry(result)
-            if verify:
-                checkpoint_fp = TreeFingerprint.capture(self.kernel, self.old_root)
-            # 2. Offline analysis -> immutable set + realloc plan.
+            # Captured before the restart exists, so fd refcounts are clean.
+            checkpoints.append(
+                (
+                    first_batch,
+                    TreeFingerprint.capture(
+                        self.kernel, self.old_root, processes_subset=first_batch
+                    ),
+                    True,
+                )
+            )
+            # 2. Offline analysis -> immutable set + realloc plan.  In a
+            # rolling update the non-quiesced workers keep serving through
+            # steps 2-4.
             with recorder.span("offline-analysis"):
                 fire(self.config, "offline.analysis")
                 plan = self._offline_analysis()
@@ -338,27 +378,36 @@ class LiveUpdateController:
             # 4. Volatile state + post-startup descriptor restore.  The
             # handlers only *create* counterpart processes/threads; their
             # descriptors are restored before any of them runs, then the
-            # whole new tree is driven back to the barrier.
+            # whole new tree is driven back to the barrier.  A rolling
+            # update restores each batch's live connections at the
+            # batch's own quiesce point instead.
             with recorder.span("restore"):
                 self._run_post_startup_handlers(new_root)
-                self._restore_runtime_fds(new_root)
+                if not rolling:
+                    self._restore_runtime_fds(new_root)
                 self._converge_volatile(new_root)
             # 5. Remap: mutable tracing state transfer.
-            with recorder.span("transfer") as transfer_span:
-                transfer = StateTransfer(
-                    self.old_root,
-                    new_root,
-                    self.new_program,
-                    self.config,
-                    self.cost,
-                    use_dirty_filter=self.use_dirty_filter,
+            if rolling:
+                self._rolling_handoff(
+                    result, recorder, new_root, worker_batches, first_batch,
+                    checkpoints,
                 )
-                report = transfer.run()
-                result.transfer_report = report
-                transfer_span.attrs["objects_transferred"] = sum(
-                    s.objects_transferred for s in report.per_process
-                )
-                clock.advance(report.total_ns)  # clients wait out the transfer
+            else:
+                with recorder.span("transfer") as transfer_span:
+                    transfer = StateTransfer(
+                        self.old_root,
+                        new_root,
+                        self.new_program,
+                        self.config,
+                        self.cost,
+                        use_dirty_filter=self.use_dirty_filter,
+                    )
+                    report = transfer.run()
+                    result.transfer_report = report
+                    transfer_span.attrs["objects_transferred"] = sum(
+                        s.objects_transferred for s in report.per_process
+                    )
+                    clock.advance(report.total_ns)  # clients wait out the transfer
             # 6. Commit: prepare (still abortable), then the critical
             # section.  Destroying the old tree is the point of no return.
             with recorder.span("commit"):
@@ -396,10 +445,7 @@ class LiveUpdateController:
                     self._record_blackbox(result, recorder, "rolled_back")
                 result.rolled_back = True
                 result.rollback_failed = bool(self._rollback_failures)
-                if verify:
-                    self._verify_rollback(
-                        result, checkpoint_fp, entry_fp, entry_steps
-                    )
+                self._verify_rollback(result, checkpoints, entry_fp, entry_steps)
                 recorder.end(root, status="rolled_back")
         finally:
             # Never leave the shared recorder with a dangling open root —
@@ -414,244 +460,133 @@ class LiveUpdateController:
         self._emit_finished(result)
         return result
 
-    def _run_update_rolling(self) -> UpdateResult:
-        """Rolling per-worker live update (CRIU pre-dump style).
+    def _rolling_handoff(
+        self,
+        result: UpdateResult,
+        recorder: "obs.SpanRecorder",
+        new_root: Process,
+        worker_batches: List[List[Process]],
+        first_batch: List[Process],
+        checkpoints: List[Checkpoint],
+    ) -> None:
+        """Step 5 of a rolling update: hand the tree off batch by batch.
 
-        The heavy global phases — offline analysis, restart, control
-        migration, volatile-state convergence — run while only the first
-        worker batch is quiesced: every other worker keeps serving.  The
-        hand-off loop then quiesces, fd-restores, traces and transfers
-        one batch at a time (master and stragglers in a final remainder
-        batch), pipelining the slow quiescence — the remainder's idle
-        threads, whose QP re-arm is bounded by a whole unblockify slice —
-        into the preceding batch's transfer window, while busy worker
-        batches (which converge within about one request) are scoped in
-        only at their own turn.  Transferred workers stay parked
-        until the global commit — resuming one would make its transferred
-        state stale — so the client-perceived blackout shrinks to roughly
-        the final batch plus commit, while the whole sequence still
-        commits or rolls back atomically under the same transaction
-        machinery (fault sites, black box, fingerprint verification).
+        Quiesces, fd-restores, traces and transfers one batch at a time
+        (master and stragglers in a final remainder batch), pipelining
+        the slow quiescence — the remainder's idle threads, whose QP
+        re-arm is bounded by a whole unblockify slice — into the
+        preceding batch's transfer window, while busy worker batches
+        (which converge within about one request) are scoped in only at
+        their own turn.  Transferred workers stay parked until the
+        global commit — resuming one would make its transferred state
+        stale — so the client-perceived blackout shrinks to roughly the
+        final batch plus commit.  Each batch quiesced here appends its
+        rollback checkpoint; the first batch's is already in place.
         """
-        result = UpdateResult()
-        result.mode = "rolling"
-        clock = self.kernel.clock
-        with self._obs_scope(clock):
-            return self._rolling_attempt(result, clock)
-
-    def _rolling_attempt(self, result: UpdateResult, clock) -> UpdateResult:
-        recorder = obs.recorder_for(clock)
-        new_root: Optional[Process] = None
-        verify = bool(getattr(self.config, "verify_rollback", True))
-        entry_fp: Optional[TreeFingerprint] = None
-        entry_steps = self.kernel.steps_executed
-        if verify and getattr(self.config, "faults", None) is not None:
-            entry_fp = TreeFingerprint.capture(self.kernel, self.old_root)
-        worker_batches = self._worker_batches()
         assigned = {p for batch in worker_batches for p in batch}
-        # One (batch, fingerprint, refcounts-included) entry per quiesced
-        # batch, in hand-off order; replayed by _verify_rollback_rolling.
-        # The first batch is captured before the restart exists, so its
-        # refcounts are clean; later batches are captured while the new
-        # tree holds inherited references (released again on rollback),
-        # so their refcount component is excluded.
-        batch_checkpoints: List[Tuple[List[Process], TreeFingerprint, bool]] = []
-        root = recorder.begin(
-            "update",
-            program=self.new_program.name,
-            to_version=self.new_program.version,
-            mode="rolling",
-        )
-        try:
-            # 1. Checkpoint the FIRST batch only; with no enumerable
-            # workers the whole tree is one degenerate batch.
-            first_batch = (
-                worker_batches[0] if worker_batches else list(self.old_root.tree())
+        with recorder.span("rolling-transfer") as rolling_span:
+            shared_cache = (
+                SharedScanCache()
+                if getattr(self.config, "incremental_scan", True)
+                else None
             )
-            with recorder.span("quiescence"):
-                self.old_session.quiescence.request(scope=first_batch)
-                self._quiesce_with_retry(result)
-            if verify:
-                batch_checkpoints.append(
-                    (
-                        list(first_batch),
-                        TreeFingerprint.capture(
-                            self.kernel,
-                            self.old_root,
-                            processes_subset=first_batch,
-                        ),
-                        True,
-                    )
-                )
-            # 2-4. Global phases, identical to the whole-tree pipeline
-            # (non-quiesced workers keep serving through all of them).
-            # Runtime descriptors are NOT restored here: each batch's
-            # live connections are installed at its own quiesce point.
-            with recorder.span("offline-analysis"):
-                fire(self.config, "offline.analysis")
-                plan = self._offline_analysis()
-            with recorder.span("restart"):
-                new_root = self._restart(plan)
-                result.new_root = new_root
-            with recorder.span("control-migration"):
-                fire(self.config, "control.migration")
-                self._run_control_migration(new_root)
-            with recorder.span("restore"):
-                self._run_post_startup_handlers(new_root)
-                self._converge_volatile(new_root)
-            # 5. The rolling hand-off loop.
-            with recorder.span("rolling-transfer") as rolling_span:
-                shared_cache = (
-                    SharedScanCache()
-                    if getattr(self.config, "incremental_scan", True)
-                    else None
-                )
-                merged = TransferReport()
-                pending = list(worker_batches[1:])
-                remainder_pending = bool(worker_batches)
-                batch = first_batch
-                index = 0
-                scoped_ahead = True  # first batch scoped by the request
-                while True:
-                    with recorder.span(
-                        f"worker-batch-{index}", processes=len(batch)
-                    ):
-                        if index > 0:
-                            # Worker batches are scoped in at their own
-                            # turn: they are busy serving, so they reach a
-                            # quiescent point within about one request and
-                            # this wait is near-instant.  The remainder
-                            # batch was scoped in a whole transfer window
-                            # ago (see below) and is already parked.
-                            if not scoped_ahead:
-                                self.old_session.quiescence.extend_scope(
-                                    batch
-                                )
-                            self._quiesce_with_retry(result)
-                            if verify:
-                                batch_checkpoints.append(
-                                    (
-                                        list(batch),
-                                        TreeFingerprint.capture(
-                                            self.kernel,
-                                            self.old_root,
-                                            processes_subset=batch,
-                                            include_refcounts=False,
-                                        ),
-                                        False,
-                                    )
-                                )
-                        # The next batch to hand off: the remainder (master
-                        # plus anything outside the worker list) is computed
-                        # at scheduling time so late-born processes are seen.
-                        next_batch: Optional[List[Process]] = None
-                        next_is_remainder = False
-                        if pending:
-                            next_batch = pending.pop(0)
-                        elif remainder_pending:
-                            remainder_pending = False
-                            next_is_remainder = True
-                            next_batch = [
-                                p
-                                for p in self.old_root.tree()
-                                if p not in assigned
-                            ]
-                            if not next_batch:
-                                next_batch = None
-                        # The pipeline overlap: the remainder batch (master,
-                        # janitors — processes that serve no clients) is
-                        # scoped in NOW, a full transfer window before its
-                        # turn.  Its threads idle in long unblockify slices,
-                        # so their worst-case QP re-arm latency elapses
-                        # while this batch's transfer time does, instead of
-                        # adding a dead wait at the end when no worker is
-                        # left serving.  Worker batches are NOT pre-scoped:
-                        # parking a serving worker early would grow the
-                        # client-perceived blackout for no convergence gain.
-                        scoped_ahead = False
-                        if next_batch is not None and next_is_remainder:
-                            self.old_session.quiescence.extend_scope(
-                                next_batch
+            merged = TransferReport()
+            pending = list(worker_batches[1:])
+            remainder_pending = bool(worker_batches)
+            batch = first_batch
+            index = 0
+            scoped_ahead = True  # first batch scoped by the request
+            while True:
+                with recorder.span(
+                    f"worker-batch-{index}", processes=len(batch)
+                ):
+                    if index > 0:
+                        # Worker batches are scoped in at their own
+                        # turn: they are busy serving, so they reach a
+                        # quiescent point within about one request and
+                        # this wait is near-instant.  The remainder
+                        # batch was scoped in a whole transfer window
+                        # ago (see below) and is already parked.
+                        if not scoped_ahead:
+                            self.old_session.quiescence.extend_scope(batch)
+                        self._quiesce_with_retry(result)
+                        # Captured while the new tree holds inherited
+                        # references (released again on rollback), so the
+                        # refcount component is excluded.
+                        checkpoints.append(
+                            (
+                                batch,
+                                TreeFingerprint.capture(
+                                    self.kernel,
+                                    self.old_root,
+                                    processes_subset=batch,
+                                    include_refcounts=False,
+                                ),
+                                False,
                             )
-                            scoped_ahead = True
-                        self._restore_runtime_fds(new_root, only=batch)
-                        transfer = StateTransfer(
-                            self.old_root,
-                            new_root,
-                            self.new_program,
-                            self.config,
-                            self.cost,
-                            use_dirty_filter=self.use_dirty_filter,
-                            only_processes=batch,
-                            shared_cache=shared_cache,
-                            include_base_cost=(index == 0),
                         )
-                        report = transfer.run()
-                        merged.per_process.extend(report.per_process)
-                        merged.trace_results.update(report.trace_results)
-                        merged.conflicts.extend(report.conflicts)
-                        merged.total_ns += report.total_ns
-                        # The still-serving workers (and the clients they
-                        # serve) live through this batch's transfer time,
-                        # instead of the whole tree waiting it out.
-                        self.kernel.run_for(report.total_ns)
-                    index += 1
-                    if next_batch is None:
-                        break
-                    batch = next_batch
-                result.transfer_report = merged
+                    # The next batch to hand off: the remainder (master
+                    # plus anything outside the worker list) is computed
+                    # at scheduling time so late-born processes are seen.
+                    next_batch: Optional[List[Process]] = None
+                    next_is_remainder = False
+                    if pending:
+                        next_batch = pending.pop(0)
+                    elif remainder_pending:
+                        remainder_pending = False
+                        next_is_remainder = True
+                        next_batch = [
+                            p for p in self.old_root.tree() if p not in assigned
+                        ]
+                        if not next_batch:
+                            next_batch = None
+                    # The pipeline overlap: the remainder batch (master,
+                    # janitors — processes that serve no clients) is
+                    # scoped in NOW, a full transfer window before its
+                    # turn.  Its threads idle in long unblockify slices,
+                    # so their worst-case QP re-arm latency elapses
+                    # while this batch's transfer time does, instead of
+                    # adding a dead wait at the end when no worker is
+                    # left serving.  Worker batches are NOT pre-scoped:
+                    # parking a serving worker early would grow the
+                    # client-perceived blackout for no convergence gain.
+                    scoped_ahead = False
+                    if next_batch is not None and next_is_remainder:
+                        self.old_session.quiescence.extend_scope(next_batch)
+                        scoped_ahead = True
+                    self._restore_runtime_fds(new_root, only=batch)
+                    transfer = StateTransfer(
+                        self.old_root,
+                        new_root,
+                        self.new_program,
+                        self.config,
+                        self.cost,
+                        use_dirty_filter=self.use_dirty_filter,
+                        only_processes=batch,
+                        shared_cache=shared_cache,
+                        include_base_cost=(index == 0),
+                    )
+                    report = transfer.run()
+                    merged.per_process.extend(report.per_process)
+                    merged.trace_results.update(report.trace_results)
+                    merged.conflicts.extend(report.conflicts)
+                    merged.total_ns += report.total_ns
+                    # The still-serving workers (and the clients they
+                    # serve) live through this batch's transfer time,
+                    # instead of the whole tree waiting it out.
+                    self.kernel.run_for(report.total_ns)
+                index += 1
+                # Counted as each batch completes, so a rollback reports
+                # how many batches were handed off before the fault.
                 result.rolling_batches = index
                 rolling_span.attrs["batches"] = index
-                rolling_span.attrs["objects_transferred"] = sum(
-                    s.objects_transferred for s in merged.per_process
-                )
-            # 6. Commit, same transaction boundary as whole-tree mode.
-            with recorder.span("commit"):
-                self._commit_prepare(new_root)
-                self._past_point_of_no_return = True
-                self._commit_critical(new_root)
-            result.committed = True
-            result.new_session = self.new_session
-            recorder.end(root, status=STATUS_OK)
-        except (MCRError, SimError) as error:
-            result.error = error
-            result.failure_site = (
-                getattr(error, "fault_site", None)
-                or self._derive_failure_site(root)
+                if next_batch is None:
+                    break
+                batch = next_batch
+            result.transfer_report = merged
+            rolling_span.attrs["objects_transferred"] = sum(
+                s.objects_transferred for s in merged.per_process
             )
-            if self._past_point_of_no_return:
-                self._finish_commit()
-                result.committed = True
-                result.new_session = self.new_session
-                root.attrs["commit_fault"] = repr(error)
-                obs.emit(
-                    "update.commit_fault_contained",
-                    severity="error",
-                    site=result.failure_site,
-                    error=repr(error),
-                )
-                self._record_blackbox(result, recorder, "commit_fault_contained")
-                recorder.end(root, status=STATUS_OK)
-            else:
-                with recorder.span("rollback", reason=str(error)):
-                    self._rollback(new_root)
-                    self._record_blackbox(result, recorder, "rolled_back")
-                result.rolled_back = True
-                result.rollback_failed = bool(self._rollback_failures)
-                if verify:
-                    self._verify_rollback_rolling(
-                        result, batch_checkpoints, entry_fp, entry_steps
-                    )
-                recorder.end(root, status="rolled_back")
-        finally:
-            if not root.closed:
-                in_flight = result.error or _host_sys.exc_info()[1]
-                if in_flight is not None:
-                    root.attrs["error"] = repr(in_flight)
-                recorder.end(root, status=STATUS_ERROR)
-        result.finalize_from_spans(root)
-        self._emit_finished(result)
-        return result
 
     def _worker_batches(self) -> List[List[Process]]:
         """Ordered worker batches for the rolling hand-off.
@@ -674,44 +609,6 @@ class LiveUpdateController:
             workers = list(self.old_root.tree()[1:])
         size = max(1, int(getattr(self.config, "rolling_batch", 1)))
         return [workers[i : i + size] for i in range(0, len(workers), size)]
-
-    def _verify_rollback_rolling(
-        self,
-        result: UpdateResult,
-        batch_checkpoints: List[Tuple[List[Process], TreeFingerprint, bool]],
-        entry_fp: Optional[TreeFingerprint],
-        entry_steps: int,
-    ) -> None:
-        """Fingerprint-verify a rolled-back rolling update.
-
-        Every batch that reached its quiesce point was captured there;
-        parked workers cannot run between capture and rollback, so each
-        capture is compared against a fresh scoped snapshot.  A failure
-        before the first batch quiesced falls back to the entry capture,
-        exactly like the whole-tree path.
-        """
-        if not batch_checkpoints:
-            self._verify_rollback(result, None, entry_fp, entry_steps)
-            return
-        problems: List[str] = []
-        try:
-            for batch, baseline, with_refcounts in batch_checkpoints:
-                after = TreeFingerprint.capture(
-                    self.kernel,
-                    self.old_root,
-                    processes_subset=batch,
-                    include_refcounts=with_refcounts,
-                )
-                problems.extend(baseline.diff(after))
-        except BaseException as error:  # verification must never throw
-            problems.append(f"fingerprint capture failed: {error!r}")
-        result.rollback_verified = not problems
-        if problems:
-            obs.emit(
-                "update.rollback_divergence",
-                severity="error",
-                problems="; ".join(problems[:8]),
-            )
 
     # -- transaction helpers ------------------------------------------------------
 
@@ -751,20 +648,34 @@ class LiveUpdateController:
     def _verify_rollback(
         self,
         result: UpdateResult,
-        checkpoint_fp: Optional[TreeFingerprint],
+        checkpoints: List[Checkpoint],
         entry_fp: Optional[TreeFingerprint],
         entry_steps: int,
     ) -> None:
-        baseline = checkpoint_fp
-        if baseline is None and self.kernel.steps_executed == entry_steps:
-            baseline = entry_fp
-        if baseline is None:
-            return  # old threads ran since capture: nothing comparable
+        """Fingerprint-verify the old tree after a rollback.
+
+        Every quiesce point was captured there; parked threads cannot run
+        between capture and rollback, so each capture is compared with a
+        fresh snapshot of the same processes.  A failure before the first
+        quiesce point falls back to the entry capture, usable only if no
+        old thread ran since.
+        """
+        if not checkpoints:
+            if entry_fp is None or self.kernel.steps_executed != entry_steps:
+                return  # old threads ran since capture: nothing comparable
+            checkpoints = [(None, entry_fp, True)]
+        problems: List[str] = []
         try:
-            after = TreeFingerprint.capture(self.kernel, self.old_root)
-            problems = baseline.diff(after)
+            for processes, baseline, with_refcounts in checkpoints:
+                after = TreeFingerprint.capture(
+                    self.kernel,
+                    self.old_root,
+                    processes_subset=processes,
+                    include_refcounts=with_refcounts,
+                )
+                problems.extend(baseline.diff(after))
         except BaseException as error:  # verification must never throw
-            problems = [f"fingerprint capture failed: {error!r}"]
+            problems.append(f"fingerprint capture failed: {error!r}")
         result.rollback_verified = not problems
         if problems:
             obs.emit(
@@ -1041,12 +952,6 @@ class LiveUpdateController:
         self.old_session.quiescence.release()
         self.new_session.phase = PHASE_NORMAL
         self.new_session.quiescence.release()
-
-    def _commit(self, new_root: Process) -> None:
-        """Single-shot commit (kept for direct callers/tests)."""
-        self._commit_prepare(new_root)
-        self._past_point_of_no_return = True
-        self._commit_critical(new_root)
 
     def _rollback(self, new_root: Optional[Process]) -> None:
         """Atomic reversal: destroy the new tree, resume the old version.

@@ -340,12 +340,9 @@ class TestFlightRecorder:
     def test_collector_wiring_mirrors_events(self):
         clock = VirtualClock()
         collector = obs.Collector(clock)
-        obs.install(collector)
-        try:
+        with obs.scoped(collector):
             obs.emit("update.finished", committed=True)
             obs.observe("client.latency_ns", 1_234)
-        finally:
-            obs.uninstall()
         assert [e.name for e in collector.recorder.entries()] == ["update.finished"]
         assert collector.metrics.get("client.latency_ns").count == 1
 

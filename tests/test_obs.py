@@ -181,24 +181,6 @@ class TestNoOpFastPath:
         scope_b.__exit__(None, None, None)
         assert obs.ACTIVE is None
 
-    def test_interleaved_install_uninstall(self):
-        clock = VirtualClock()
-        a, b = obs.Collector(clock), obs.Collector(clock)
-        obs.install(a)
-        obs.install(b)
-        assert obs.ACTIVE is b
-        obs.uninstall(a)  # removes a's activation, not the top
-        assert obs.ACTIVE is b
-        obs.uninstall(b)
-        assert obs.ACTIVE is None
-
-    def test_bare_uninstall_clears_all_scopes(self):
-        clock = VirtualClock()
-        obs.install(obs.Collector(clock))
-        obs.install(obs.Collector(clock))
-        obs.uninstall()
-        assert obs.ACTIVE is None
-
     def test_recorder_for_matches_clock(self):
         clock = VirtualClock()
         with obs.collecting(clock) as collector:

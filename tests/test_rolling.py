@@ -13,7 +13,7 @@ from repro.bench.harness import boot_server
 from repro.bench.updatetime import measure_rolling_comparison
 from repro.mcr.config import MCRConfig
 from repro.mcr.ctl import McrCtl
-from repro.mcr.faults import FaultPlan
+from repro.mcr.faults import UPDATE_SITES, FaultPlan
 from repro.mcr.quiescence.detection import QuiescenceProtocol
 from repro.servers import httpd
 from repro.workloads.ab import ApacheBench
@@ -133,21 +133,86 @@ class TestRollingUpdate:
         assert row["rolling_slo_ok"] is True
         assert row["rolling_batches"] >= 2
 
-    def test_rolling_fault_rolls_back_verified(self):
+    def test_rolling_span_tree(self):
         world, workload, clients = _warm_world()
-        plan = FaultPlan().at("transfer.memory")
+        ctl = McrCtl(world.kernel, world.session)
+        result = ctl.live_update(
+            httpd.make_program(2), config=MCRConfig(update_mode="rolling")
+        )
+        assert result.committed, result.error
+        root = result.spans
+        assert root.attrs["mode"] == "rolling"
+        assert [c.name for c in root.children] == [
+            "quiescence",
+            "offline-analysis",
+            "restart",
+            "control-migration",
+            "restore",
+            "rolling-transfer",
+            "commit",
+        ]
+        handoff = root.find("rolling-transfer")
+        assert [c.name for c in handoff.children] == [
+            f"worker-batch-{i}" for i in range(result.rolling_batches)
+        ]
+        assert all(c.attrs["processes"] >= 1 for c in handoff.children)
+        assert handoff.attrs["batches"] == result.rolling_batches
+        assert handoff.attrs["objects_transferred"] == sum(
+            s.objects_transferred for s in result.transfer_report.per_process
+        )
+        assert result.transfer_ns == handoff.duration_ns
+        _drain(world, workload, clients)
+        assert workload.errors == 0
+
+    @pytest.mark.parametrize("site", sorted(UPDATE_SITES))
+    def test_rolling_fault_rolls_back_verified(self, site):
+        """Arm each update site in turn under a rolling update: committed
+        xor rolled back, every rollback fingerprint-verified, and the
+        clients ride through with no errors."""
+        world, workload, clients = _warm_world()
+        plan = FaultPlan()
+        if site == "quiescence.wait":
+            plan.at(site, times=MCRConfig().quiescence_max_retries + 1)
+        elif site == "rollback":
+            plan.at("transfer.memory").at(site)
+        else:
+            plan.at(site)
         ctl = McrCtl(world.kernel, world.session)
         result = ctl.live_update(
             httpd.make_program(2),
             config=MCRConfig(update_mode="rolling", faults=plan),
         )
-        assert not result.committed
-        assert result.rolled_back
-        # The per-batch checkpoints replayed to prove v1 is bit-identical.
-        assert result.rollback_verified is True
+        assert result.committed != result.rolled_back
+        if result.rolled_back:
+            # The per-batch checkpoints replayed to prove v1 is
+            # bit-identical.
+            assert result.rollback_verified is True, result.failure_site
+            assert result.failure_site is not None
         _drain(world, workload, clients)
         assert workload.errors == 0
         assert workload.completed == workload.requests
+
+    def test_rollback_counts_completed_batches(self):
+        # The 50th memory transfer falls in the second batch: batch 0 was
+        # handed off before the fault, batch 1 was not.
+        world, workload, clients = _warm_world()
+        plan = FaultPlan().at("transfer.memory", nth=50)
+        ctl = McrCtl(world.kernel, world.session)
+        result = ctl.live_update(
+            httpd.make_program(2),
+            config=MCRConfig(update_mode="rolling", faults=plan),
+        )
+        assert result.rolled_back
+        assert result.rollback_verified is True
+        handoff = result.spans.find("rolling-transfer")
+        assert [c.name for c in handoff.children] == [
+            "worker-batch-0",
+            "worker-batch-1",
+        ]
+        assert result.rolling_batches == 1
+        assert handoff.attrs["batches"] == 1
+        _drain(world, workload, clients)
+        assert workload.errors == 0
 
     def test_default_config_stays_whole_tree(self):
         world, workload, clients = _warm_world()
@@ -156,5 +221,6 @@ class TestRollingUpdate:
         assert result.committed, result.error
         assert result.mode == "whole-tree"
         assert result.rolling_batches == 0
+        assert "mode" not in result.spans.attrs
         _drain(world, workload, clients)
         assert workload.errors == 0
